@@ -1,7 +1,7 @@
 """Fig. 9 — effect of the batch count τ on AMC and GEER at ε = 0.02.
 
 At this small ε, plain AMC's walk budget explodes; its per-query work is capped
-by ``max_total_steps`` (see EXPERIMENTS.md), so the AMC series here is a lower
+by ``max_total_steps`` (see ``QueryBudget.laptop()``), so the AMC series here is a lower
 bound on its faithful cost while GEER completes its queries legitimately.
 """
 

@@ -1,8 +1,8 @@
 """Shared configuration for the benchmark suite.
 
 Every ``bench_*`` module regenerates the data behind one table or figure of the
-paper at laptop scale (see DESIGN.md section 4 for the experiment index and
-EXPERIMENTS.md for the measured results).  The figure drivers live in
+paper at laptop scale (see DESIGN.md's "Benchmark record" section for the
+committed results).  The figure drivers live in
 :mod:`repro.experiments.figures`; the benchmarks run them once through
 ``benchmark.pedantic`` (a sweep is a macro-benchmark — repeating it dozens of
 times would add nothing) and persist the resulting tables under
@@ -25,7 +25,8 @@ RESULTS_DIR = Path(__file__).resolve().parent / "results"
 # Laptop-scale sweep parameters shared by the figure benchmarks.  The paper uses
 # 100 queries, ε down to 0.01 and a one-day timeout; these defaults keep the
 # whole benchmark suite in the tens of minutes while preserving every
-# qualitative comparison (see EXPERIMENTS.md).
+# qualitative comparison.  The caps below override the ``QueryBudget.laptop()``
+# profile the harness starts from.
 BENCH_EPSILONS = (0.5, 0.2, 0.1, 0.05)
 BENCH_NUM_QUERIES = 8
 BENCH_TIME_BUDGET_SECONDS = 10.0

@@ -9,7 +9,7 @@ what makes TP slow even on small graphs — exactly the behaviour the evaluation
 highlights.
 
 At laptop scale the faithful budget is often infeasible, so the harness can
-scale it down with ``budget_scale`` (documented in EXPERIMENTS.md); results
+scale it down with ``budget_scale`` (see ``QueryBudget.laptop()``); results
 produced with a reduced budget are flagged via ``details['budget_scale']``.
 """
 

@@ -224,8 +224,8 @@ class QueryEngine:
     def _record(self, result: EstimateResult) -> None:
         self.stats.record(result)
         # The single funnel every estimate passes through (direct queries,
-        # batches, coalescer flushes, pool-adopted results) — so this is where
-        # per-method counters and latency histograms are observed.
+        # batches, pool-adopted results) — so this is where per-method
+        # counters and latency histograms are observed.
         self._context.obs.observe_result(result)
         for hook in self._result_hooks:
             hook(result)

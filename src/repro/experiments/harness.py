@@ -3,7 +3,7 @@
 The harness is now a thin veneer over the central method registry
 (:mod:`repro.core.registry`): a :class:`MethodContext` bundles the shared
 per-graph state (estimator session, ground-truth oracle, the laptop-scale
-budget knobs documented in EXPERIMENTS.md) and exposes it as a
+budget caps of ``QueryBudget.laptop()``) and exposes it as a
 :class:`~repro.core.registry.QueryContext`, and every entry in
 :data:`METHOD_REGISTRY` simply dispatches through
 :func:`~repro.core.registry.resolve_method`.  The uniform callable shape
@@ -49,8 +49,8 @@ class MethodContext:
     estimator: EffectiveResistanceEstimator
     ground_truth: GroundTruthOracle
     rng: np.random.Generator
-    # laptop-scale budget knobs (documented in EXPERIMENTS.md), defaulting to
-    # the QueryBudget.laptop() profile.  TP and TPC run with their faithful
+    # laptop-scale budget knobs, defaulting to the QueryBudget.laptop()
+    # profile.  TP and TPC run with their faithful
     # per-length budgets by default; `max_total_steps` is what keeps a single
     # query bounded (runs that hit it are flagged).
     tp_budget_scale: float = _LAPTOP_BUDGET.tp_budget_scale

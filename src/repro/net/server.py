@@ -257,10 +257,10 @@ class NetServer:
         self._accepting = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
-        if getattr(service, "planner", None) is not None:
-            # Admission control sees the server's live queue: pending work
-            # ahead of a query inflates its predicted engine cost.
-            service.load_probe = lambda: self._pending
+        # An adaptive planner's admission control sees the server's live
+        # queue: pending work ahead of a query inflates its predicted engine
+        # cost.  The static router never reads it.
+        service.load_probe = lambda: self._pending
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -717,16 +717,15 @@ class NetServer:
                     payload = self._degraded_answer(s, t, epsilon, tier_down)
                 else:
                     try:
-                        kwargs: dict[str, Any] = {}
-                        if getattr(self.service, "planner", None) is not None:
-                            # Adaptive services plan against the *remaining*
-                            # budget — they may answer with an anytime
-                            # partial instead of blowing the deadline.
-                            kwargs["deadline_seconds"] = self._deadline_remaining(
-                                request, arrival
-                            )
+                        # An adaptive planner plans against the *remaining*
+                        # budget — it may answer with an anytime partial
+                        # instead of blowing the deadline.  The static router
+                        # ignores it.
                         result = self.service.query(
-                            s, t, epsilon, method=request.get("method"), **kwargs
+                            s, t, epsilon, method=request.get("method"),
+                            deadline_seconds=self._deadline_remaining(
+                                request, arrival
+                            ),
                         )
                         payload = _result_payload(result)
                         if payload["partial"]:

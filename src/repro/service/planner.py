@@ -317,11 +317,8 @@ class ServiceSignals:
         return sketch.gap(s, t)
 
     def queue_depth(self) -> int:
-        probe = getattr(self._service, "load_probe", None)
-        if probe is not None:
-            return int(probe())
-        coalescer = self._service._coalescer
-        return len(coalescer) if coalescer is not None else 0
+        probe = self._service.load_probe
+        return int(probe()) if probe is not None else 0
 
     def breaker_state(self) -> str:
         return self._service.breaker.state

@@ -1,4 +1,4 @@
-"""The serving facade: cache → sketch → (coalesced) engine.
+"""The serving facade: cache → sketch → engine, behind one tier router.
 
 A :class:`ResistanceService` wires the serving layers around one
 :class:`~repro.core.engine.QueryEngine` session:
@@ -8,11 +8,13 @@ A :class:`ResistanceService` wires the serving layers around one
 2. the :class:`~repro.service.sketch.LandmarkSketchStore` answers loose
    queries (and any query touching a landmark) from precomputed exact landmark
    resistances, still without the walk engine;
-3. everything else reaches the engine — directly (:meth:`ResistanceService.query`),
-   as a planned batch (:meth:`ResistanceService.query_many`), or buffered
-   through the :class:`~repro.service.coalesce.RequestCoalescer`
-   (:meth:`ResistanceService.submit`) so concurrent point queries ride the
-   vectorized ``QueryPlan`` path.
+3. everything else reaches the engine — directly (:meth:`ResistanceService.query`)
+   or as one vectorized ``QueryPlan`` (:meth:`ResistanceService.query_many`).
+
+Both entry points ask the same router which tier serves a pair: the fixed
+cache → sketch order above, or, with ``planner="adaptive"``, the tier the
+cost-based :class:`~repro.service.planner.QueryPlanner` picks (which adds the
+exact-solve and anytime tiers).
 
 Every engine-produced answer flows back into the cache through the engine's
 result hook, so the cache warms no matter which path executed the query.  All
@@ -41,7 +43,6 @@ from repro.graph.delta import EdgeDelta, GraphStore, expand_neighborhood
 from repro.obs import Observability, Sample
 from repro.service import artifacts as artifacts_io
 from repro.service.cache import ResistanceCache, canonical_pair
-from repro.service.coalesce import PendingQuery, RequestCoalescer
 from repro.service.planner import (
     PlannerConfig,
     QueryPlanner,
@@ -75,10 +76,8 @@ class ServiceConfig:
     landmark_strategy: str = "degree"
     landmark_seed: int = 0
     sketch_max_nodes: int = 50_000
-    coalesce_max_batch: int = 32
-    coalesce_max_delay_seconds: float = 0.005
     bucketing: str = "degree"
-    #: Worker count for engine batches (query_many and coalescer flushes).
+    #: Worker count for the engine batches query_many runs.
     #: 1 = sequential session-stream execution; >1 = pool execution with
     #: per-query derived streams (see QueryPlan.execute).
     workers: int = 1
@@ -146,7 +145,6 @@ class ServiceStats:
     #: sketch-envelope answers served under deadline pressure.
     exact_answers: int = 0
     anytime_answers: int = 0
-    coalesced_submissions: int = 0
     updates: int = 0
     invalidated_cache_entries: int = 0
     sketch_rebuilds: int = 0
@@ -167,7 +165,6 @@ class ServiceStats:
             "engine_queries": self.engine_queries,
             "exact_answers": self.exact_answers,
             "anytime_answers": self.anytime_answers,
-            "coalesced_submissions": self.coalesced_submissions,
             "updates": self.updates,
             "invalidated_cache_entries": self.invalidated_cache_entries,
             "sketch_rebuilds": self.sketch_rebuilds,
@@ -327,7 +324,6 @@ class ResistanceService:
             )
         self.sketch = sketch
         self._updates_since_sketch = 0
-        self._coalescer: Optional[RequestCoalescer] = None
         # Optional external batch executor (duck-typed so this module never
         # imports repro.net): anything with execute_plan(plan) -> BatchResult,
         # e.g. repro.net.pool.SharedWorkerPool.  See attach_worker_pool.
@@ -373,31 +369,17 @@ class ResistanceService:
     def graph(self):
         return self.engine.graph
 
-    @property
-    def coalescer(self) -> RequestCoalescer:
-        """The micro-batcher behind :meth:`submit`, created on first use."""
-        if self._coalescer is None:
-            self._coalescer = RequestCoalescer(
-                self.engine,
-                max_batch=self.config.coalesce_max_batch,
-                max_delay_seconds=self.config.coalesce_max_delay_seconds,
-                method=self.config.method,
-                bucketing=self.config.bucketing,
-                workers=self.config.workers,
-            )
-        return self._coalescer
-
     def warm_up(self) -> "ResistanceService":
         """Force every preprocessing artefact (the λ eigen-solve) eagerly."""
         self.engine.lambda_max_abs
         return self
 
     def _on_engine_result(self, result: EstimateResult) -> None:
-        # Every engine-produced answer — single query, planned batch or
-        # coalescer flush — is counted here (so duplicates removed by
-        # coalescing are *not* counted) and offered to the cache.  Results
-        # whose sampling was cut off by a budget cap carry no ε guarantee and
-        # must never be served as one.
+        # Every engine-produced answer — single query or planned batch — is
+        # counted here (so duplicate pairs a batch runs once are counted
+        # once) and offered to the cache.  Results whose sampling was cut off
+        # by a budget cap carry no ε guarantee and must never be served as
+        # one.
         self.stats.engine_queries += 1
         self._tier_answers.labels(tier="engine").inc()
         if self.cache is not None and not result.budget_exhausted:
@@ -410,6 +392,9 @@ class ResistanceService:
                 epoch=self.engine.epoch,
             )
         if self.planner is not None:
+            # A planned service names the serving tier on every answer; the
+            # engine is the tier the planner picked or fell back to.
+            result.details.setdefault("plan", "engine")
             # Online calibration: every engine answer teaches the cost model
             # its observed seconds for this (method, degree-bucket, ε).
             self.planner.observe_engine(
@@ -485,18 +470,50 @@ class ResistanceService:
             },
         )
 
-    def _layered_answer(
-        self, s: int, t: int, epsilon: float
+    def _tier_answer(
+        self,
+        s: int,
+        t: int,
+        epsilon: float,
+        method: str,
+        deadline_seconds: Optional[float],
     ) -> Optional[EstimateResult]:
-        """Try the cache then the sketch; None when the engine must run."""
-        result = self._cache_answer(s, t, epsilon)
-        if result is not None:
-            return result
-        return self._sketch_answer(s, t, epsilon)
+        """The answer of the tier the router picks, or None: run the engine.
 
-    # ------------------------------------------------------------------ #
-    # adaptive planning (config.planner == "adaptive")
-    # ------------------------------------------------------------------ #
+        Without a planner the order is fixed — the cache, then the sketch —
+        and ``deadline_seconds`` is ignored.  The adaptive planner picks one
+        tier per query (cache, sketch, anytime, exact or engine).  A picked
+        lookup tier that cannot deliver after all (entry raced away between
+        the planning probe and the read, sketch rebuilt looser) is recorded
+        as a fallback and left to the engine: correctness never depends on a
+        prediction being right, only latency does (Contract 8).
+        """
+        planner = self.planner
+        if planner is None:
+            result = self._cache_answer(s, t, epsilon)
+            if result is not None:
+                return result
+            return self._sketch_answer(s, t, epsilon)
+        decision = planner.decide(
+            s, t, epsilon, method=method, deadline_seconds=deadline_seconds
+        )
+        tier = decision.tier
+        if tier == "engine":
+            return None
+        if tier == "cache":
+            result = self._cache_answer(s, t, epsilon)
+        elif tier == "sketch":
+            result = self._sketch_answer(s, t, epsilon)
+        elif tier == "anytime":
+            result = self._anytime_answer(s, t, epsilon, refine=decision.refine)
+        else:
+            result = self._exact_answer(s, t, epsilon)
+        if result is None:
+            planner.record_fallback(tier)
+            return None
+        result.details["plan"] = tier
+        return result
+
     def _exact_answer(self, s: int, t: int, epsilon: float) -> EstimateResult:
         """The exact tier: one Laplacian solve, cached at ε=0 (dominates all)."""
         timer = Timer()
@@ -555,78 +572,6 @@ class ResistanceService:
                 "refining": refining,
             },
         )
-
-    def _execute_decision(
-        self,
-        decision,
-        s: int,
-        t: int,
-        epsilon: float,
-        method: str,
-        kwargs: dict[str, Any],
-    ) -> EstimateResult:
-        """Serve one query through the planner's chosen tier.
-
-        A planned lookup tier that cannot deliver after all (entry raced
-        away between the planning probe and the read, sketch rebuilt looser)
-        falls through to the engine — correctness never depends on a
-        prediction being right, only latency does (Contract 8).
-        """
-        planner = self.planner
-        tier = decision.tier
-        if tier == "cache":
-            result = self._cache_answer(s, t, epsilon)
-            if result is not None:
-                result.details["plan"] = tier
-                return result
-            planner.record_fallback(tier)
-        elif tier == "sketch":
-            result = self._sketch_answer(s, t, epsilon)
-            if result is not None:
-                result.details["plan"] = tier
-                return result
-            planner.record_fallback(tier)
-        elif tier == "anytime":
-            result = self._anytime_answer(s, t, epsilon, refine=decision.refine)
-            if result is not None:
-                result.details["plan"] = tier
-                return result
-            planner.record_fallback(tier)
-        elif tier == "exact":
-            result = self._exact_answer(s, t, epsilon)
-            result.details["plan"] = tier
-            return result
-        result = self.engine.query(s, t, epsilon, method=method, **kwargs)
-        result.details.setdefault("source", "engine")
-        result.details.setdefault("plan", tier)
-        return result
-
-    def _planned_answer(
-        self,
-        s: int,
-        t: int,
-        epsilon: float,
-        method: str,
-        deadline_seconds: Optional[float],
-        kwargs: dict[str, Any],
-    ) -> EstimateResult:
-        decision = self.planner.decide(
-            s, t, epsilon, method=method, deadline_seconds=deadline_seconds
-        )
-        return self._execute_decision(decision, s, t, epsilon, method, kwargs)
-
-    def _planned_layer_answer(
-        self, s: int, t: int, epsilon: float, method: str
-    ) -> Optional[EstimateResult]:
-        """Batch-path planning: resolve non-engine tiers, None joins the plan.
-
-        Without a deadline the planner never picks ``anytime``, so the
-        possible short-circuits are cache, sketch and exact.
-        """
-        decision = self.planner.decide(s, t, epsilon, method=method)
-        if decision.tier == "engine":
-            return None
-        return self._execute_decision(decision, s, t, epsilon, method, {})
 
     def _complete_refinement(
         self, result: EstimateResult, epoch: int, *, seconds: float = 0.0
@@ -706,16 +651,14 @@ class ResistanceService:
 
         The pipeline, in order:
 
-        1. pending coalesced requests are flushed (they were planned against
-           the current epoch);
-        2. the :class:`~repro.graph.delta.GraphStore` applies the delta (CSR
+        1. the :class:`~repro.graph.delta.GraphStore` applies the delta (CSR
            row splicing) and extends the delta log / lineage chain;
-        3. the engine's context absorbs it — cheap artefacts patched in
+        2. the engine's context absorbs it — cheap artefacts patched in
            place, the spectral solve refreshed per ``spectral_refresh``;
-        4. the cache drops **only** entries incident to the delta's
+        3. the cache drops **only** entries incident to the delta's
            ``invalidation_hops``-neighborhood (union of pre- and post-delta
            adjacency); everything else keeps serving;
-        5. the sketch is rebuilt or marked stale per ``sketch_refresh``.
+        4. the sketch is rebuilt or marked stale per ``sketch_refresh``.
 
         Returns an :class:`UpdateReport`; subsequent queries return exactly
         what a cold service on the post-delta graph would (delta ≡ rebuild).
@@ -724,7 +667,6 @@ class ResistanceService:
         with timer, self.obs.tracer.span(
             "service:update", changes=delta.num_changes
         ):
-            self.flush()
             if self._refiner is not None:
                 # In-flight anytime refinements read the live context; wait
                 # them out before patching it.  Anything they land is still
@@ -809,21 +751,14 @@ class ResistanceService:
         """
         epsilon = check_positive(epsilon, "epsilon")
         s, t = check_node_pair(s, t, self.graph.num_nodes)
+        method = method or self.config.method
         self.stats.requests += 1
         timer = Timer()
         with timer, self.obs.tracer.span("service:query", s=s, t=t, epsilon=epsilon):
-            if self.planner is not None:
-                result = self._planned_answer(
-                    s, t, epsilon, method or self.config.method,
-                    deadline_seconds, kwargs,
-                )
-            else:
-                result = self._layered_answer(s, t, epsilon)
-                if result is None:
-                    result = self.engine.query(
-                        s, t, epsilon, method=method or self.config.method, **kwargs
-                    )
-                    result.details.setdefault("source", "engine")
+            result = self._tier_answer(s, t, epsilon, method, deadline_seconds)
+            if result is None:
+                result = self.engine.query(s, t, epsilon, method=method, **kwargs)
+                result.details.setdefault("source", "engine")
         source = result.details.get("source", "engine")
         self._tier_latency.labels(tier=source).observe(timer.elapsed)
         if self.planner is not None and source in ("cache", "sketch", "exact"):
@@ -841,24 +776,22 @@ class ResistanceService:
         *,
         method: Optional[str] = None,
     ) -> list[EstimateResult]:
-        """Answer a batch: layer hits short-circuit, the rest run as one plan.
+        """Answer a batch: tier hits short-circuit, the rest run as one plan.
 
-        Duplicate pairs (including reversed duplicates — ``r`` is symmetric)
-        among the layer misses execute once and share their result.
+        Each pair goes through the same tier router as :meth:`query`, with no
+        deadline.  Duplicate pairs (including reversed duplicates — ``r`` is
+        symmetric) among the pairs left to the engine execute once and share
+        their result.
         """
         epsilon = check_positive(epsilon, "epsilon")
         validated = check_query_pairs(pairs, self.graph.num_nodes)
+        method = method or self.config.method
         self.stats.requests += len(validated)
         results: list[Optional[EstimateResult]] = [None] * len(validated)
         missed: list[tuple[int, int]] = []
         missed_indices: dict[tuple[int, int], list[int]] = {}
         for index, (s, t) in enumerate(validated):
-            if self.planner is not None:
-                served = self._planned_layer_answer(
-                    s, t, epsilon, method or self.config.method
-                )
-            else:
-                served = self._layered_answer(s, t, epsilon)
+            served = self._tier_answer(s, t, epsilon, method, None)
             if served is not None:
                 results[index] = served
                 continue
@@ -879,15 +812,14 @@ class ResistanceService:
         self,
         pairs: Sequence[tuple[int, int]],
         epsilon: float,
-        method: Optional[str],
+        method: str,
     ):
-        """Run the layer misses of a batch: worker pool if attached, else engine.
+        """Run the tier misses of a batch: worker pool if attached, else engine.
 
         The pool path produces the same values as ``workers=N`` in-process
         execution (the own-stream contract), and adopting its results fires
         the engine hooks so the cache warms exactly as usual.
         """
-        method = method or self.config.method
         pool = self._worker_pool
         if pool is not None:
             # Breaker discipline: open → fail fast before planning; a pool
@@ -927,7 +859,7 @@ class ResistanceService:
     def sketch_bounds(self, s: int, t: int):
         """The sketch's triangle-inequality envelope for ``(s, t)``, or None.
 
-        Unlike the layered path this ignores ε — the envelope is returned
+        Unlike the sketch tier this ignores ε — the envelope is returned
         however loose it is.  It is what the network server degrades to when
         a request's deadline expires before the engine ran: the bounds are
         always valid for the current epoch (a stale sketch is refreshed per
@@ -937,33 +869,6 @@ class ResistanceService:
         if sketch is None:
             return None
         return sketch.bounds(s, t)
-
-    def submit(self, s: int, t: int, epsilon: float) -> PendingQuery:
-        """Buffer one request for micro-batched execution.
-
-        Cache/sketch hits resolve immediately; everything else joins the
-        coalescer's current batch (see
-        :class:`~repro.service.coalesce.RequestCoalescer` for the flush
-        rules).  Engine results reach the cache through the result hook when
-        the batch flushes.
-        """
-        epsilon = check_positive(epsilon, "epsilon")
-        s, t = check_node_pair(s, t, self.graph.num_nodes)
-        self.stats.requests += 1
-        served = self._layered_answer(s, t, epsilon)
-        if served is not None:
-            return PendingQuery.resolved(s, t, epsilon, served)
-        self.stats.coalesced_submissions += 1
-        return self.coalescer.submit(s, t, epsilon)
-
-    def poll(self) -> bool:
-        """Drive the coalescer's deadline: flush when the oldest request expired."""
-        return self._coalescer.poll() if self._coalescer is not None else False
-
-    def flush(self) -> None:
-        """Force-resolve every buffered request."""
-        if self._coalescer is not None:
-            self._coalescer.flush()
 
     def close(self) -> None:
         """Stop background machinery (the refinement executor); idempotent."""
@@ -1024,7 +929,6 @@ class ResistanceService:
             "engine_queries",
             "exact_answers",
             "anytime_answers",
-            "coalesced_submissions",
             "invalidated_cache_entries",
             "sketch_rebuilds",
         ):
@@ -1069,18 +973,6 @@ class ResistanceService:
             samples.append(
                 Sample("repro_sketch_stale", "gauge", "1 when the sketch is stale for the current epoch.", {}, float(bool(self.sketch.stale)))
             )
-        if self._coalescer is not None:
-            co = self._coalescer.stats
-            for field in ("submitted", "executed_pairs", "flushes", "size_flushes", "deadline_flushes", "demand_flushes"):
-                samples.append(
-                    Sample(
-                        f"repro_coalescer_{field}_total",
-                        "counter",
-                        f"CoalescerStats.{field} of the request coalescer.",
-                        {},
-                        float(getattr(co, field)),
-                    )
-                )
         session = self.engine.stats
         samples.append(
             Sample("repro_session_queries_total", "counter", "Estimates recorded by the engine session.", {}, float(session.num_queries))
@@ -1105,14 +997,12 @@ class ResistanceService:
         return samples
 
     def summary(self) -> dict[str, dict[str, object]]:
-        """Per-layer counters: service routing, cache, sketch, coalescer, engine."""
+        """Per-layer counters: service routing, cache, sketch, planner, engine."""
         summary: dict[str, dict[str, object]] = {"service": self.stats.summary()}
         if self.cache is not None:
             summary["cache"] = self.cache.stats.summary()
         if self.sketch is not None:
             summary["sketch"] = self.sketch.stats.summary()
-        if self._coalescer is not None:
-            summary["coalescer"] = self._coalescer.stats.summary()
         if self.planner is not None:
             summary["planner"] = self.planner.summary()
         summary["session"] = self.engine.stats.summary()
@@ -1136,7 +1026,6 @@ class ResistanceService:
             for name, active in (
                 ("cache", self.cache is not None),
                 ("sketch", self.sketch is not None),
-                ("coalescer", self._coalescer is not None),
                 ("planner", self.planner is not None),
             )
             if active

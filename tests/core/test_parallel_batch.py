@@ -19,7 +19,6 @@ from repro.core.estimator import EffectiveResistanceEstimator
 from repro.core.registry import QueryContext
 from repro.experiments.queries import random_query_set
 from repro.graph.generators import barabasi_albert_graph
-from repro.service.coalesce import RequestCoalescer
 
 
 @pytest.fixture(scope="module")
@@ -181,26 +180,6 @@ class TestValidationAndPlumbing:
             pairs, EPSILON, method="geer", workers=2, executor="auto"
         )
         assert np.array_equal([r.value for r in results], reference.values)
-
-    def test_coalescer_flush_with_workers(self, graph, pairs):
-        from repro.service.cache import canonical_pair
-
-        engine = QueryEngine(graph, rng=7)
-        coalescer = RequestCoalescer(
-            engine, max_batch=100, max_delay_seconds=60.0, method="geer", workers=2
-        )
-        pending = [coalescer.submit(s, t, EPSILON) for s, t in pairs[:8]]
-        values = [p.result().value for p in pending]
-        # the coalescer executes canonicalised pairs; in parallel mode the
-        # per-query streams are derived from (index, s, t), so the reference
-        # must replay the same canonical batch
-        reference = QueryEngine(graph, rng=7).query_many(
-            [canonical_pair(s, t) for s, t in pairs[:8]],
-            EPSILON,
-            method="geer",
-            workers=2,
-        )
-        assert np.array_equal(values, reference.values)
 
     def test_parallel_batch_summary_reports_workers(self, graph, pairs):
         batch = QueryEngine(graph, rng=7).query_many(
