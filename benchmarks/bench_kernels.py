@@ -9,34 +9,29 @@ solve and a single GEER query.  They are the ablation evidence for the
 Two comparison benchmarks additionally start the repo's **machine-readable
 perf record**: :func:`test_fused_vs_materialised_scoring` pits the fused
 ``walk_scores`` kernel against a faithful replica of the historical
-materialise-then-score path — under every available kernel backend (numpy
-always; the compiled numba backend wherever numba is installed) — and
-:func:`test_parallel_batch_execution` measures a 100-query GEER batch serial
-vs a shared-memory-attached process pool.  Both write their measurements into
+materialise-then-score path, and :func:`test_parallel_batch_execution`
+measures a 100-query GEER batch serial vs a shared-memory-attached process
+pool.  Both write their measurements into
 ``benchmarks/results/BENCH_kernels.json`` so future PRs can track the
 trajectory.  Set ``REPRO_BENCH_QUICK=1`` (as CI does) for a smaller, faster
 workload; the JSON records which mode produced it.
 
 Per the bench_fault/bench_planner convention, every bit-identity assertion
-(including the golden hex-equality replay when numba is installed) runs
-*before* any timing loop: a backend that produces wrong bits must fail the
-benchmark, not publish a speedup.
+runs *before* any timing loop: a kernel that produces wrong bits must fail
+the benchmark, not publish a speedup.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import sys
 import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import RESULTS_DIR
-from repro.sampling import kernels as walk_kernels
 from repro.core.engine import QueryEngine
 from repro.core.estimator import EffectiveResistanceEstimator
 from repro.core.registry import resolve_method
@@ -135,112 +130,42 @@ def big_graph():
     return barabasi_albert_graph(5000, 8, rng=1)
 
 
-def _assert_numba_reproduces_golden() -> bool:
-    """Replay the bitwise golden fixtures through the compiled backend.
-
-    Only called when numba resolved — a green return means the *compiled*
-    kernels (not the python twin) reproduced ``tests/data/golden.json``
-    hex-exactly.  Runs before any timing, like every other identity check.
-    """
-    tests_dir = Path(__file__).resolve().parent.parent / "tests"
-    if str(tests_dir) not in sys.path:
-        sys.path.insert(0, str(tests_dir))
-    from regen_golden import BITWISE_METHODS, GOLDEN_PATH, golden_graphs, run_method
-
-    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
-    for graph_name, graph in golden_graphs().items():
-        for method in BITWISE_METHODS:
-            stored = golden["graphs"][graph_name]["methods"][method]["hex"]
-            replayed = [
-                float(v).hex()
-                for v in run_method(graph, method, kernel_backend="numba")
-            ]
-            assert replayed == stored, (
-                f"compiled backend drifted from golden values for {method} "
-                f"on {graph_name} (Contract 9 violated)"
-            )
-    return True
-
-
 def test_fused_vs_materialised_scoring(big_graph):
     """Fused ``walk_scores`` vs the historical materialise-then-score path.
 
-    Bit-identity across every path *and every backend* is asserted first
-    (same draws, same pairwise summation tree — plus the golden hex replay
-    when numba is installed), so the timing comparison that follows is pure
+    Bit-identity across every path is asserted first (same draws, same
+    pairwise summation tree), so the timing comparison that follows is pure
     speed.  The chunked driver is measured too, with ``tracemalloc`` peaks
-    showing its memory bound.  The compiled backend's probe cost (import +
-    JIT compile + warmup cross-check) is recorded separately from the warm
-    kernel timings.
+    showing its memory bound.
     """
     weights = np.random.default_rng(2).random(big_graph.num_nodes)
     seed = 5
 
-    # Probe the compiled backend up front; on a cold process (CI runs this
-    # test in a fresh interpreter) this times numba import + JIT + warmup.
-    probe_start = time.perf_counter()
-    numba_status = walk_kernels.backend_status()["numba"]
-    jit_load_seconds = time.perf_counter() - probe_start
-    backends = ["numpy"] + (["numba"] if numba_status["available"] else [])
-
-    def fused(backend):
-        return RandomWalkEngine(
-            big_graph, rng=seed, kernel_backend=backend
-        ).walk_scores(0, FUSED_ETA, FUSED_LENGTH, weights)
-
-    def chunked(backend):
-        return RandomWalkEngine(
-            big_graph, rng=seed, kernel_backend=backend
-        ).walk_scores(0, FUSED_ETA, FUSED_LENGTH, weights, chunk_size=FUSED_CHUNK)
-
-    # -- bit-identity gate: every backend, before any timing --------------- #
-    mat_scores = _materialised_scores(
-        big_graph, 0, FUSED_ETA, FUSED_LENGTH, weights, seed
-    )
-    for backend in backends:
-        assert np.array_equal(mat_scores, fused(backend)), (
-            f"fused kernel diverged under the {backend!r} backend"
+    def fused():
+        return RandomWalkEngine(big_graph, rng=seed).walk_scores(
+            0, FUSED_ETA, FUSED_LENGTH, weights
         )
-        assert np.array_equal(mat_scores, chunked(backend)), (
-            f"chunked kernel diverged under the {backend!r} backend"
-        )
-    golden_hex_exact = (
-        _assert_numba_reproduces_golden() if "numba" in backends else None
-    )
 
-    # -- timing (all backends are warm now; JIT cost was paid in the probe) #
-    mat_seconds, _ = _best_of(
-        FUSED_REPEATS,
-        lambda: _materialised_scores(
+    def chunked():
+        return RandomWalkEngine(big_graph, rng=seed).walk_scores(
+            0, FUSED_ETA, FUSED_LENGTH, weights, chunk_size=FUSED_CHUNK
+        )
+
+    def materialised():
+        return _materialised_scores(
             big_graph, 0, FUSED_ETA, FUSED_LENGTH, weights, seed
-        ),
-    )
-    backend_payload = {}
-    for backend in backends:
-        fused_seconds, _ = _best_of(FUSED_REPEATS, lambda b=backend: fused(b))
-        chunked_seconds, _ = _best_of(FUSED_REPEATS, lambda b=backend: chunked(b))
-        backend_payload[backend] = {
-            "available": True,
-            "fused_seconds": round(fused_seconds, 4),
-            "fused_chunked_seconds": round(chunked_seconds, 4),
-            "speedup_fused": round(mat_seconds / fused_seconds, 2),
-            "speedup_fused_chunked": round(mat_seconds / chunked_seconds, 2),
-            "bit_identical": True,
-        }
-    if "numba" in backends:
-        backend_payload["numba"]["jit_load_seconds"] = round(jit_load_seconds, 4)
-        backend_payload["numba"]["golden_hex_exact"] = golden_hex_exact
-    else:
-        backend_payload["numba"] = {
-            "available": False,
-            "reason": numba_status["error"] or "numba not installed",
-        }
+        )
 
-    numpy_timing = backend_payload["numpy"]
-    peak_materialised = _peak_bytes(
-        lambda: _materialised_scores(big_graph, 0, FUSED_ETA, FUSED_LENGTH, weights, seed)
-    )
-    peak_chunked = _peak_bytes(lambda: chunked("numpy"))
+    # -- bit-identity gate, before any timing ------------------------------ #
+    mat_scores = materialised()
+    assert np.array_equal(mat_scores, fused()), "fused kernel diverged"
+    assert np.array_equal(mat_scores, chunked()), "chunked kernel diverged"
+
+    mat_seconds, _ = _best_of(FUSED_REPEATS, materialised)
+    fused_seconds, _ = _best_of(FUSED_REPEATS, fused)
+    chunked_seconds, _ = _best_of(FUSED_REPEATS, chunked)
+    peak_materialised = _peak_bytes(materialised)
+    peak_chunked = _peak_bytes(chunked)
 
     _update_json(
         "fused_walk_scores",
@@ -250,15 +175,11 @@ def test_fused_vs_materialised_scoring(big_graph):
             "chunk_size": FUSED_CHUNK,
             "repeats": FUSED_REPEATS,
             "materialised_seconds": round(mat_seconds, 4),
-            # top-level numbers track the always-available numpy backend so
-            # the trajectory stays comparable with pre-backend records; the
-            # per-backend dimension (incl. compiled numba) lives below.
-            "fused_seconds": numpy_timing["fused_seconds"],
-            "fused_chunked_seconds": numpy_timing["fused_chunked_seconds"],
-            "speedup_fused": numpy_timing["speedup_fused"],
-            "speedup_fused_chunked": numpy_timing["speedup_fused_chunked"],
+            "fused_seconds": round(fused_seconds, 4),
+            "fused_chunked_seconds": round(chunked_seconds, 4),
+            "speedup_fused": round(mat_seconds / fused_seconds, 2),
+            "speedup_fused_chunked": round(mat_seconds / chunked_seconds, 2),
             "bit_identical": True,
-            "backends": backend_payload,
             # The materialised path holds the (η, ℓ) int64 visit matrix plus
             # the (η, ℓ) float gather; the chunked kernel's walk buffer is
             # bounded by chunk_size · min(ℓ, 128) floats regardless of η.
@@ -338,7 +259,6 @@ def test_parallel_batch_execution():
         "workers": PARALLEL_WORKERS,
         "executor": parallel.executor,
         "shared_memory": shared is not None,
-        "kernel_backend": walk_kernels.active_backend_name("auto"),
         "serial_seconds": round(serial_seconds, 4),
         "parallel_seconds": round(parallel_seconds, 4),
         "speedup": round(serial_seconds / parallel_seconds, 2),

@@ -4,10 +4,6 @@ All metadata lives here, with no ``pyproject.toml``, so that
 ``python setup.py develop`` and ``pip install .`` work in offline
 environments without the ``wheel`` package: a ``[build-system]`` table would
 make pip fetch its build requirements first.
-
-The ``compiled`` extra pulls in numba for the optional compiled walk-kernel
-backend (``pip install repro[compiled]``); without it the engine runs the
-bit-identical numpy reference kernels (see DESIGN.md Contract 9).
 """
 
 import re
@@ -35,9 +31,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     install_requires=["numpy", "scipy"],
-    extras_require={
-        "compiled": ["numba>=0.57"],
-    },
     entry_points={
         "console_scripts": ["repro-er = repro.cli:main"],
     },

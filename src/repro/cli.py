@@ -61,12 +61,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from repro.core.engine import QueryEngine
-from repro.core.registry import (
-    REFRESH_POLICIES,
-    QueryBudget,
-    available_methods,
-    method_table,
-)
+from repro.core.registry import REFRESH_POLICIES, available_methods, method_table
 from repro.exceptions import GraphStructureError
 from repro.experiments.datasets import available_datasets, dataset_spec, load_dataset
 from repro.experiments.figures import run_dataset_sweep
@@ -127,14 +122,6 @@ def _add_graph_arguments(parser: argparse.ArgumentParser) -> None:
         "(for SNAP files carrying timestamps/annotations there)",
     )
     parser.add_argument("--seed", type=int, default=1, help="random seed (default: 1)")
-    parser.add_argument(
-        "--kernel-backend",
-        choices=("auto", "numpy", "numba"),
-        default="auto",
-        help="walk-kernel backend: 'numpy' (reference), 'numba' (compiled, "
-        "bit-identical, needs the repro[compiled] extra) or 'auto' (numba "
-        "when importable; default)",
-    )
 
 
 def _cmd_datasets(_args: argparse.Namespace) -> int:
@@ -155,18 +142,6 @@ def _cmd_datasets(_args: argparse.Namespace) -> int:
 
 def _cmd_methods(_args: argparse.Namespace) -> int:
     print(format_table(method_table(), title="registered query methods"))
-    from repro.sampling.kernels import backend_status
-
-    rows = []
-    for name, status in backend_status().items():
-        rows.append(
-            {
-                "backend": name,
-                "available": "yes" if status["available"] else "no",
-                "note": status["error"] or "",
-            }
-        )
-    print(format_table(rows, title="walk-kernel backends"))
     return 0
 
 
@@ -237,12 +212,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         obs = Observability(
             metrics=MetricsRegistry(enabled=True), tracer=Tracer(enabled=True)
         )
-    engine = QueryEngine(
-        graph,
-        rng=args.seed,
-        obs=obs,
-        budget=QueryBudget(kernel_backend=getattr(args, "kernel_backend", "auto")),
-    )
+    engine = QueryEngine(graph, rng=args.seed, obs=obs)
     pairs = _parse_pairs(args.pairs)
     rows = []
     try:
@@ -316,7 +286,6 @@ def _cmd_warm(args: argparse.Namespace) -> int:
         use_sketch=not args.no_sketch,
         num_landmarks=args.landmarks,
         landmark_strategy=args.strategy,
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
     )
     service = ResistanceService(graph, config=config, rng=args.seed)
     service.warm_up()
@@ -350,7 +319,6 @@ def _cmd_serve_network(args: argparse.Namespace) -> int:
         num_landmarks=args.landmarks,
         workers=args.workers,
         planner=getattr(args, "planner", "static"),
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
     )
     try:
         service = ResistanceService(
@@ -412,7 +380,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         num_landmarks=args.landmarks,
         workers=args.workers,
         planner=getattr(args, "planner", "static"),
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
     )
     try:
         service = ResistanceService(
@@ -462,7 +429,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         num_landmarks=args.landmarks,
         planner="adaptive",
         planner_config=PlannerConfig(refine_in_background=False),
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
     )
     service = ResistanceService(graph, config=config, rng=args.seed)
     service.warm_up()
@@ -601,7 +567,6 @@ def _cmd_update(args: argparse.Namespace) -> int:
         spectral_refresh=args.spectral_refresh,
         sketch_refresh=args.sketch_refresh,
         invalidation_hops=args.invalidation_hops,
-        kernel_backend=getattr(args, "kernel_backend", "auto"),
     )
     try:
         service = ResistanceService(

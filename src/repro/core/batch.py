@@ -671,9 +671,7 @@ def _task_kwargs(
     if param is not None and length is not None and param not in call_kwargs:
         call_kwargs[param] = length
     if spec.parallel_seed == "engine":
-        call_kwargs["engine"] = RandomWalkEngine(
-            context.graph, rng=seed, kernel_backend=context.budget.kernel_backend
-        )
+        call_kwargs["engine"] = RandomWalkEngine(context.graph, rng=seed)
     elif spec.parallel_seed == "rng":
         call_kwargs["rng"] = seed
     return call_kwargs

@@ -106,13 +106,6 @@ class QueryBudget:
     #: slabs cache-resident (~2x over the unchunked kernel on large batches).
     #: ``None`` = unchunked.
     walk_chunk_size: Optional[int] = 16_384
-    #: Walk-kernel backend for every engine built through this context:
-    #: ``"numpy"`` (reference), ``"numba"`` (optional compiled kernels) or
-    #: ``"auto"`` (numba when importable).  Like ``walk_chunk_size`` this is
-    #: a speed knob, not a semantics knob: the compiled backend is
-    #: bit-identical to numpy (DESIGN.md Contract 9) and unavailable
-    #: backends fall back to numpy with at most a one-time warning.
-    kernel_backend: str = "auto"
 
     @classmethod
     def laptop(cls) -> "QueryBudget":
@@ -292,12 +285,7 @@ class QueryContext:
         return self.graph.transition_matrix()
 
     def _build_engine(self) -> RandomWalkEngine:
-        return RandomWalkEngine(
-            self.graph,
-            rng=self.rng,
-            obs=self.obs,
-            kernel_backend=self.budget.kernel_backend,
-        )
+        return RandomWalkEngine(self.graph, rng=self.rng, obs=self.obs)
 
     def _build_solver(self) -> LaplacianSolver:
         return LaplacianSolver(self.graph)
@@ -581,12 +569,7 @@ class QueryContext:
             return None  # unwalkable, same lazy failure as a cold context
         # Shares the session generator (stream position is preserved) and the
         # new graph's patched alias tables; the step counter carries over.
-        engine = RandomWalkEngine(
-            new_graph,
-            rng=self.rng,
-            obs=self.obs,
-            kernel_backend=self.budget.kernel_backend,
-        )
+        engine = RandomWalkEngine(new_graph, rng=self.rng, obs=self.obs)
         engine.total_steps = value.total_steps
         return engine
 

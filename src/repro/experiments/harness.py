@@ -18,7 +18,7 @@ per-configuration time budget, after which the method is marked as timed out.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, Iterable, Optional, Sequence
 
 import numpy as np
@@ -36,11 +36,6 @@ from repro.utils.rng import RngLike, as_generator
 from repro.utils.timing import TimeBudget
 
 
-# Single source for the laptop-scale caps shared by MethodContext's defaults
-# and the registry adapters.
-_LAPTOP_BUDGET = QueryBudget.laptop()
-
-
 @dataclass
 class MethodContext:
     """Shared per-graph state for an experiment sweep."""
@@ -49,20 +44,10 @@ class MethodContext:
     estimator: EffectiveResistanceEstimator
     ground_truth: GroundTruthOracle
     rng: np.random.Generator
-    # laptop-scale budget knobs, defaulting to the QueryBudget.laptop()
-    # profile.  TP and TPC run with their faithful
-    # per-length budgets by default; `max_total_steps` is what keeps a single
-    # query bounded (runs that hit it are flagged).
-    tp_budget_scale: float = _LAPTOP_BUDGET.tp_budget_scale
-    tpc_budget_scale: float = _LAPTOP_BUDGET.tpc_budget_scale
-    baseline_max_seconds: float = _LAPTOP_BUDGET.baseline_max_seconds
-    mc_max_walks: int = _LAPTOP_BUDGET.mc_max_walks
-    mc2_max_walks: int = _LAPTOP_BUDGET.mc2_max_walks
-    hay_max_samples: int = _LAPTOP_BUDGET.hay_max_samples
-    rp_jl_constant: float = _LAPTOP_BUDGET.rp_jl_constant
-    rp_max_dimension: int = _LAPTOP_BUDGET.rp_max_dimension
-    max_total_steps: Optional[int] = _LAPTOP_BUDGET.max_total_steps
-    exact_max_nodes: int = _LAPTOP_BUDGET.exact_max_nodes
+    # TP and TPC run with their faithful per-length budgets by default;
+    # `max_total_steps` is what keeps a single query bounded (runs that hit
+    # it are flagged).
+    budget: QueryBudget = field(default_factory=QueryBudget.laptop)
 
     @property
     def lambda_max_abs(self) -> float:
@@ -72,23 +57,11 @@ class MethodContext:
     def query_context(self) -> QueryContext:
         """The estimator's shared context, with this harness's budget applied.
 
-        The budget is re-synchronised from the knob fields on every access so
-        overrides applied after construction (``build_context(**overrides)``,
-        direct attribute assignment in tests) take effect immediately.
+        The budget is assigned on every access, so replacing ``self.budget``
+        after construction takes effect immediately.
         """
         context = self.estimator.context
-        context.budget = QueryBudget(
-            max_total_steps=self.max_total_steps,
-            mc_max_walks=self.mc_max_walks,
-            mc2_max_walks=self.mc2_max_walks,
-            hay_max_samples=self.hay_max_samples,
-            tp_budget_scale=self.tp_budget_scale,
-            tpc_budget_scale=self.tpc_budget_scale,
-            baseline_max_seconds=self.baseline_max_seconds,
-            rp_jl_constant=self.rp_jl_constant,
-            rp_max_dimension=self.rp_max_dimension,
-            exact_max_nodes=self.exact_max_nodes,
-        )
+        context.budget = self.budget
         if self.ground_truth is not None:
             context.ground_truth = self.ground_truth
         return context
@@ -101,18 +74,20 @@ class MethodContext:
 
 
 def build_context(graph: Graph, *, rng: RngLike = None, **overrides) -> MethodContext:
-    """Create a :class:`MethodContext` with the paper's defaults (δ=0.01, τ=5)."""
+    """Create a :class:`MethodContext` with the paper's defaults (δ=0.01, τ=5).
+
+    ``overrides`` replace fields of the ``QueryBudget.laptop()`` caps; an
+    unknown name raises ``TypeError``.
+    """
     gen = as_generator(rng)
     estimator = EffectiveResistanceEstimator(graph, delta=0.01, num_batches=5, rng=gen)
-    ground_truth = GroundTruthOracle(graph)
-    context = MethodContext(
-        graph=graph, estimator=estimator, ground_truth=ground_truth, rng=gen
+    return MethodContext(
+        graph=graph,
+        estimator=estimator,
+        ground_truth=GroundTruthOracle(graph),
+        rng=gen,
+        budget=replace(QueryBudget.laptop(), **overrides),
     )
-    for key, value in overrides.items():
-        if not hasattr(context, key):
-            raise TypeError(f"unknown MethodContext field {key!r}")
-        setattr(context, key, value)
-    return context
 
 
 # --------------------------------------------------------------------------- #
@@ -224,13 +199,22 @@ def run_method(
 
     The per-configuration ``time_budget_seconds`` mirrors the paper's one-day
     cutoff: once exceeded, remaining queries are skipped and the configuration
-    is marked as timed out.  Methods whose preprocessing is infeasible (EXACT /
-    RP running out of memory) are reported as skipped rather than raising.
+    is marked as timed out.  One-off preprocessing (EXACT's factorisation,
+    RP's sketch, λ) is built before the first query, so it counts toward
+    the cutoff but not toward any query's time.  Methods whose preprocessing
+    is infeasible (EXACT / RP running out of memory) are reported as skipped
+    rather than raising.
     """
     if method not in METHOD_REGISTRY:
         raise KeyError(f"unknown method {method!r}; available: {sorted(METHOD_REGISTRY)}")
     runner = METHOD_REGISTRY[method]
     budget = TimeBudget(time_budget_seconds if time_budget_seconds is not None else math.inf)
+    try:
+        context.query_context.prepare_for(resolve_method(method), float(epsilon))
+    except BudgetExceededError as exc:
+        return SweepResult(
+            method=method, epsilon=float(epsilon), outcomes=[], skipped_reason=str(exc)
+        )
     outcomes: list[MethodOutcome] = []
     timed_out = False
     skipped_reason: Optional[str] = None

@@ -369,9 +369,6 @@ def publish_context(
         "lambda_2": float(preprocessing["lambda_2"]),
         "lambda_n": float(preprocessing["lambda_n"]),
         "sketch_strategy": getattr(sketch, "strategy", None),
-        # Workers honor the publisher's kernel backend (Contract 9 makes it
-        # a speed knob only, but the pool should run what the server runs).
-        "kernel_backend": context.budget.kernel_backend,
     }
 
     token = f"{os.getpid():x}{secrets.token_hex(6)}"
@@ -570,11 +567,6 @@ def attach_context(
     spectral = SpectralInfo(
         lambda_2=float(scalars["lambda_2"]), lambda_n=float(scalars["lambda_n"])
     )
-    if budget is None:
-        # No explicit budget from the attaching process: honor the backend
-        # the publishing server recorded in the handle (older handles
-        # pickled before the field existed resolve to "auto").
-        budget = QueryBudget(kernel_backend=scalars.get("kernel_backend", "auto"))
     context = QueryContext(
         graph,
         delta=float(scalars["delta"]) if delta is None else float(delta),

@@ -53,14 +53,43 @@ import numpy as np
 from repro.fault import FAULTS
 from repro.graph.graph import Graph
 from repro.obs import NULL_OBS, Observability
-from repro.sampling.kernels import (
-    _PAIRWISE_BLOCK,
-    WalkKernelState,
-    _pairwise_plan,
-    resolve_backend,
-)
-from repro.utils.rng import RngLike, as_generator
+from repro.utils.rng import RngLike, as_generator, random_choice_csr
 from repro.utils.validation import check_integer, check_node
+
+#: Leaf size of NumPy's pairwise-summation tree (``PW_BLOCKSIZE`` in
+#: numpy/_core/src/umath/loops.c.src).  Score accumulation buffers at most
+#: this many step columns so that leaf sums — and therefore the full
+#: reduction — match ``weights[walk_matrix].sum(axis=1)`` bit-for-bit.
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_plan(length: int) -> tuple[list[int], list[int]]:
+    """Leaf lengths and post-merge counts of NumPy's pairwise-sum recursion.
+
+    ``np.add.reduce`` over a contiguous axis of ``length`` elements splits the
+    range recursively (``n2 = (n // 2) - (n // 2) % 8`` on the left) until a
+    leaf of at most :data:`_PAIRWISE_BLOCK` elements remains, then combines
+    partial sums bottom-up as ``left + right``.  The returned ``merges[i]``
+    says how many stack merges to perform after leaf ``i`` completes, which
+    lets a streaming kernel reproduce the exact reduction tree with
+    ``O(log(length))`` partial-sum vectors.
+    """
+    leaves: list[int] = []
+    merges: list[int] = []
+
+    def recurse(n: int) -> None:
+        if n <= _PAIRWISE_BLOCK:
+            leaves.append(n)
+            merges.append(0)
+            return
+        n2 = (n // 2) - ((n // 2) % 8)
+        recurse(n2)
+        recurse(n - n2)
+        merges[-1] += 1
+
+    if length > 0:
+        recurse(length)
+    return leaves, merges
 
 
 def _build_alias_tables(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -186,12 +215,7 @@ class RandomWalkEngine:
     """
 
     def __init__(
-        self,
-        graph: Graph,
-        *,
-        rng: RngLike = None,
-        obs: Optional["Observability"] = None,
-        kernel_backend: str = "auto",
+        self, graph: Graph, *, rng: RngLike = None, obs: Optional["Observability"] = None
     ) -> None:
         if graph.num_nodes == 0:
             raise ValueError("cannot walk on an empty graph")
@@ -216,22 +240,6 @@ class RandomWalkEngine:
         else:
             self._alias_prob = None
             self._alias_node = None
-        # Kernel backend: "numpy" is the reference implementation, "numba"
-        # the optional compiled one (bit-identical by Contract 9), "auto"
-        # picks numba when importable.  Resolution is cached module-wide and
-        # falls back to numpy (with a one-time warning when explicit), so
-        # engine construction stays cheap and never fails on a missing
-        # accelerator.  The state bundle hands the backend plain CSR arrays.
-        self._kernels = resolve_backend(kernel_backend)
-        self.kernel_backend = self._kernels.name
-        self._kernel_state = WalkKernelState(
-            indptr=self._indptr,
-            indices=self._indices,
-            degrees_float=self._degrees_float,
-            uniform_degree=self._uniform_degree,
-            alias_prob=self._alias_prob,
-            alias_node=self._alias_node,
-        )
         self._rng = as_generator(rng)
         self.total_steps = 0  # cumulative number of single-node transitions taken
         #: Observability bundle; spans only open when its tracer is active, so
@@ -261,7 +269,41 @@ class RandomWalkEngine:
         bit-identical to the checked public kernel).
         """
         generator = self._rng if rng is None else rng
-        return self._kernels.advance(self._kernel_state, nodes, generator)
+        if self._uniform_degree is not None:
+            degree = self._uniform_degree
+            starts = self._indptr[nodes]
+            draws = generator.random(len(nodes))
+            draws *= float(degree)
+            offsets = draws.astype(np.int64)
+            np.minimum(offsets, degree - 1, out=offsets)
+            starts += offsets
+            return self._indices[starts]
+        if self._alias_prob is not None:
+            # Weighted step: the slot draw consumes exactly one uniform per
+            # walk (same stream schedule as the unweighted kernel, which is
+            # what keeps the chunked driver's `advance` bookkeeping valid);
+            # the fractional part runs the Vose acceptance test.
+            starts = self._indptr[nodes]
+            degrees = self._degrees_float[nodes]
+            draws = generator.random(len(nodes))
+            draws *= degrees
+            offsets = draws.astype(np.int64)
+            np.minimum(offsets, degrees.astype(np.int64) - 1, out=offsets)
+            frac = draws - offsets
+            positions = starts + offsets
+            return np.where(
+                frac < self._alias_prob[positions],
+                self._indices[positions],
+                self._alias_node[positions],
+            )
+        return random_choice_csr(
+            generator,
+            self._indptr,
+            self._indices,
+            nodes,
+            degrees=self._degrees_float,
+            checked=False,
+        )
 
     def step(self, nodes: np.ndarray) -> np.ndarray:
         """Advance every walk currently at ``nodes`` by one step."""
@@ -395,10 +437,65 @@ class RandomWalkEngine:
         recursion order — reproducing ``weights[matrix].sum(axis=1)``
         bit-for-bit with bounded memory.
         """
-        self._kernels.scores_block(
-            self._kernel_state, start, num_walks, length, weights, rng,
-            stream_skip, out,
-        )
+        leaves, merges = _pairwise_plan(length)
+        block = np.empty((num_walks, min(length, _PAIRWISE_BLOCK)), dtype=np.float64)
+        stack: list[np.ndarray] = []
+        current = np.full(num_walks, start, dtype=np.int64)
+        # Buffered replica of ``_advance``: every per-step array is
+        # preallocated and written through ``out=`` so the hot loop performs
+        # no allocations.  The arithmetic is op-for-op identical (same draws,
+        # same products, truncation == floor for non-negative values), so the
+        # sampled walks match the unbuffered kernel bit-for-bit.
+        starts = np.empty(num_walks, dtype=np.int64)
+        draws = np.empty(num_walks, dtype=np.float64)
+        offsets = np.empty(num_walks, dtype=np.int64)
+        clip = np.empty(num_walks, dtype=np.int64)
+        degrees = np.empty(num_walks, dtype=np.float64)
+        uniform = self._uniform_degree
+        weighted = self._alias_prob is not None
+        if weighted:
+            frac = np.empty(num_walks, dtype=np.float64)
+            prob = np.empty(num_walks, dtype=np.float64)
+            alias = np.empty(num_walks, dtype=np.int64)
+            reject = np.empty(num_walks, dtype=bool)
+        for leaf_length, merge_count in zip(leaves, merges):
+            for column in range(leaf_length):
+                np.take(self._indptr, current, out=starts)
+                rng.random(out=draws)
+                if stream_skip:
+                    rng.bit_generator.advance(stream_skip)
+                if uniform is not None:
+                    np.multiply(draws, float(uniform), out=draws)
+                    np.copyto(offsets, draws, casting="unsafe")
+                    np.minimum(offsets, uniform - 1, out=offsets)
+                else:
+                    np.take(self._degrees_float, current, out=degrees)
+                    np.multiply(draws, degrees, out=draws)
+                    np.copyto(offsets, draws, casting="unsafe")
+                    np.copyto(clip, degrees, casting="unsafe")
+                    clip -= 1
+                    np.minimum(offsets, clip, out=offsets)
+                starts += offsets
+                if weighted:
+                    # Vose acceptance on the draw's fractional part: same
+                    # buffered discipline, three extra gathers per step.
+                    np.subtract(draws, offsets, out=frac)
+                    np.take(self._alias_prob, starts, out=prob)
+                    np.greater_equal(frac, prob, out=reject)
+                    np.take(self._indices, starts, out=current)
+                    np.take(self._alias_node, starts, out=alias)
+                    np.copyto(current, alias, where=reject)
+                else:
+                    np.take(self._indices, starts, out=current)
+                block[:, column] = weights[current]
+            partial = block[:, :leaf_length].sum(axis=1)
+            for _ in range(merge_count):
+                right = partial
+                partial = stack.pop()
+                partial += right
+            stack.append(partial)
+        assert len(stack) == 1
+        out[:] = stack[0]
 
     def walk_endpoints(self, start: int, num_walks: int, length: int) -> np.ndarray:
         """End nodes of ``num_walks`` independent length-``length`` walks from ``start``."""

@@ -606,11 +606,7 @@ class RefinementExecutor:
             kwargs: dict[str, Any] = {}
             seed = derive_seed(self._seed, sequence, s, t)
             if spec.parallel_seed == "engine":
-                kwargs["engine"] = RandomWalkEngine(
-                    service.graph,
-                    rng=seed,
-                    kernel_backend=service.engine.context.budget.kernel_backend,
-                )
+                kwargs["engine"] = RandomWalkEngine(service.graph, rng=seed)
             elif spec.parallel_seed == "rng":
                 kwargs["rng"] = seed
             timer = Timer()

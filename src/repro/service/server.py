@@ -49,8 +49,6 @@ from repro.service.planner import (
     RefinementExecutor,
     ServiceSignals,
 )
-from repro.sampling import kernels as walk_kernels
-from repro.sampling.kernels import KERNEL_BACKENDS
 from repro.service.sketch import LandmarkSketchStore
 from repro.utils.rng import RngLike
 from repro.utils.timing import Timer
@@ -108,12 +106,6 @@ class ServiceConfig:
     #: answers — every tier it picks meets the requested ε.
     planner: str = "static"
     planner_config: Optional[PlannerConfig] = None
-    #: Walk-kernel backend for every engine the service builds ("auto",
-    #: "numpy" or "numba"); threaded into QueryBudget.kernel_backend.  A
-    #: non-"auto" value overrides whatever an explicit budget carries.
-    #: Bit-identical across backends (Contract 9), so this only moves
-    #: latency, never answers.
-    kernel_backend: str = "auto"
 
     def __post_init__(self) -> None:
         for name in ("spectral_refresh", "sketch_refresh"):
@@ -125,11 +117,6 @@ class ServiceConfig:
         if self.planner not in ("static", "adaptive"):
             raise ValueError(
                 f"planner must be 'static' or 'adaptive', got {self.planner!r}"
-            )
-        if self.kernel_backend not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"kernel_backend must be one of {KERNEL_BACKENDS}, "
-                f"got {self.kernel_backend!r}"
             )
 
 
@@ -264,19 +251,6 @@ class ResistanceService:
             "End-to-end apply_update latency (flush, patch, invalidate).",
         )
         metrics.register_collector(self._metrics_collector)
-
-        # Thread the configured kernel backend into the budget every engine
-        # under this service is built from.  An explicit non-"auto" config
-        # wins over the budget's value; otherwise the budget's own choice
-        # (possibly from a shm handle) is preserved.
-        if context is None:
-            if budget is None:
-                budget = QueryBudget(kernel_backend=self.config.kernel_backend)
-            elif self.config.kernel_backend != "auto":
-                budget = budget.copy()
-                budget.kernel_backend = self.config.kernel_backend
-        elif self.config.kernel_backend != "auto":
-            context.budget.kernel_backend = self.config.kernel_backend
 
         sketch: Optional[LandmarkSketchStore] = None
         store: Optional[GraphStore] = None
@@ -913,13 +887,6 @@ class ResistanceService:
         samples = [
             Sample("repro_epoch", "gauge", "Graph epoch currently served.", {}, float(self.epoch)),
             Sample("repro_updates_total", "counter", "Edge deltas absorbed end to end.", {}, float(self.stats.updates)),
-            Sample(
-                "repro_kernel_backend",
-                "gauge",
-                "Walk-kernel backend in use (1 for the active backend label).",
-                {"backend": walk_kernels.active_backend_name(self.engine.budget.kernel_backend)},
-                1.0,
-            ),
         ]
         stats = self.stats
         for field in (
@@ -1006,14 +973,6 @@ class ResistanceService:
         if self.planner is not None:
             summary["planner"] = self.planner.summary()
         summary["session"] = self.engine.stats.summary()
-        requested = self.engine.budget.kernel_backend
-        status = walk_kernels.backend_status()
-        summary["kernel"] = {
-            "requested": requested,
-            "active": walk_kernels.active_backend_name(requested),
-            "numba_available": status["numba"]["available"],
-            "numba_error": status["numba"]["error"],
-        }
         summary["fault"] = {
             "breaker": self.breaker.summary(),
             "failpoints": FAULTS.summary(),

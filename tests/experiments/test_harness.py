@@ -92,6 +92,31 @@ class TestRunMethod:
         for key in ("method", "epsilon", "avg_time_ms", "avg_abs_error", "timed_out"):
             assert key in row
 
+    @pytest.mark.parametrize(
+        "method, is_built",
+        [
+            ("exact", lambda qc, eps: qc.artifact_status()["exact_oracle"] == "ready"),
+            ("rp", lambda qc, eps: eps in qc.artifact("rp_sketches")),
+        ],
+        ids=["exact", "rp"],
+    )
+    def test_preprocessing_is_built_before_the_first_query(
+        self, graph, random_queries, monkeypatch, method, is_built
+    ):
+        # One-off preprocessing must not be timed as part of the first query.
+        context = build_context(graph, rng=9)
+        runner = METHOD_REGISTRY[method]
+        built_at_start = []
+
+        def recording_runner(ctx, s, t, epsilon):
+            built_at_start.append(is_built(ctx.query_context, epsilon))
+            return runner(ctx, s, t, epsilon)
+
+        monkeypatch.setitem(METHOD_REGISTRY, method, recording_runner)
+        sweep = run_method(context, method, random_queries, 0.25)
+        assert sweep.completed == len(random_queries)
+        assert built_at_start == [True] * len(random_queries)
+
     def test_skip_on_infeasible_preprocessing(self, graph, random_queries):
         context = build_context(graph, rng=8, exact_max_nodes=10)
         sweep = run_method(context, "exact", random_queries, 0.2)

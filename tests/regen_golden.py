@@ -44,11 +44,10 @@ BITWISE_METHODS = (
 SOLVER_METHODS = ("exact", "ground-truth", "rp")
 
 
-def _budget(kernel_backend="auto"):
+def _budget():
     from repro.core.registry import QueryBudget
 
     return QueryBudget(
-        kernel_backend=kernel_backend,
         max_total_steps=2_000_000,
         mc_max_walks=200,
         mc2_max_walks=500,
@@ -88,16 +87,11 @@ def golden_pairs(graph):
     return [tuple(map(int, edges[i])) for i in (0, 17, 40)]
 
 
-def run_method(graph, method, kernel_backend="auto"):
-    """Fresh context per method so each replays an isolated random stream.
-
-    ``kernel_backend`` selects the walk-kernel backend for the replay; by
-    Contract 9 every backend must reproduce identical bits, which is exactly
-    what the backend-matrix golden test asserts.
-    """
+def run_method(graph, method):
+    """Fresh context per method so each replays an isolated random stream."""
     from repro.core.registry import QueryContext, resolve_method
 
-    context = QueryContext(graph, rng=SEED, budget=_budget(kernel_backend))
+    context = QueryContext(graph, rng=SEED, budget=_budget())
     spec = resolve_method(method)
     values = []
     for s, t in golden_pairs(graph):

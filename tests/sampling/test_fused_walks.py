@@ -117,6 +117,19 @@ class TestFusedEqualsMaterialised:
         expected = ring_weights[reference.walk_matrix(4, 60, 30)].sum(axis=1)
         assert np.array_equal(expected, fused.walk_scores(4, 60, 30, ring_weights))
 
+    def test_negative_zero_sums_to_plus_zero(self):
+        # numpy's pairwise sum starts from an identity +0.0, so all-(-0.0)
+        # weights give +0.0; the fused blocks must keep that sign bit too
+        ring = cycle_graph(8)
+        negative_zero = np.full(ring.num_nodes, -0.0)
+        for length in (1, 7, 8, 100, 128, 300):
+            reference = RandomWalkEngine(ring, rng=3)
+            fused = RandomWalkEngine(ring, rng=3)
+            expected = negative_zero[reference.walk_matrix(0, 5, length)].sum(axis=1)
+            actual = fused.walk_scores(0, 5, length, negative_zero)
+            assert actual.tobytes() == expected.tobytes()
+            assert all(value.hex() == "0x0.0p+0" for value in actual)
+
     def test_zero_walks_and_zero_length_draw_nothing(self, graph, weights):
         engine = RandomWalkEngine(graph, rng=1)
         before = engine.rng.bit_generator.state["state"]["state"]
