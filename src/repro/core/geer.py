@@ -22,16 +22,15 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
 import scipy.sparse as sp
 
 from repro.core.amc import AMCResult, amc_estimate
 from repro.core.registry import register_method
 from repro.core.result import EstimateResult
-from repro.core.smm import SMMState
+from repro.core.smm import FrontierArcs, SMMState
 from repro.core.walk_length import refined_walk_length
 from repro.graph.graph import Graph
-from repro.sampling.concentration import amc_psi, amc_sample_budget, top_two_values
+from repro.sampling.concentration import amc_psi, amc_sample_budget
 from repro.sampling.walks import RandomWalkEngine
 from repro.utils.rng import RngLike
 from repro.utils.timing import Timer
@@ -58,8 +57,7 @@ class GEERResult:
 
 def _worst_case_walk_budget(
     tail_length: int,
-    s_vector: np.ndarray,
-    t_vector: np.ndarray,
+    state: SMMState,
     degree_s: float,
     degree_t: float,
     epsilon: float,
@@ -69,12 +67,11 @@ def _worst_case_walk_budget(
     """``h(ℓ - ℓ_b)``: the total walks AMC may need for the remaining tail.
 
     ``h = (2^τ - 1) ⌈η* / 2^(τ-1)⌉ < 2 η*`` (Section 3.3.2), with η* computed
-    from the ψ of the *current* propagation vectors.
+    from the ψ of the *current* propagation vectors of ``state``.
     """
     if tail_length <= 0:
         return 0
-    s_max1, s_max2 = top_two_values(s_vector)
-    t_max1, t_max2 = top_two_values(t_vector)
+    s_max1, s_max2, t_max1, t_max2 = state.top_two()
     psi = amc_psi(tail_length, degree_s, degree_t, s_max1, s_max2, t_max1, t_max2)
     if psi == 0.0:
         return 0
@@ -95,6 +92,7 @@ def geer_query(
     rng: RngLike = None,
     engine: Optional[RandomWalkEngine] = None,
     transition: Optional[sp.csr_matrix] = None,
+    arcs: Optional[FrontierArcs] = None,
     walk_length: Optional[int] = None,
     force_smm_iterations: Optional[int] = None,
     max_total_steps: Optional[int] = None,
@@ -109,6 +107,9 @@ def geer_query(
         (:func:`repro.linalg.spectral_radius_second`).
     transition:
         Optional pre-built transition matrix, reused across queries in sweeps.
+    arcs:
+        Optional :class:`~repro.core.smm.FrontierArcs` of ``transition``,
+        reused the same way (built per query when omitted).
     walk_length:
         Override for ℓ (defaults to the refined bound of Eq. (6)).
     force_smm_iterations:
@@ -138,7 +139,7 @@ def geer_query(
             walk_length = refined_walk_length(epsilon, lambda_max_abs, deg_s, deg_t)
         walk_length = check_integer(walk_length, "walk_length", minimum=0)
 
-        state = SMMState(graph, s, t, transition=transition)
+        state = SMMState(graph, s, t, transition=transition, arcs=arcs)
 
         if force_smm_iterations is not None:
             target = check_integer(force_smm_iterations, "force_smm_iterations", minimum=0)
@@ -151,8 +152,7 @@ def geer_query(
                 tail = walk_length - state.iterations
                 budget = _worst_case_walk_budget(
                     tail,
-                    state.s_vector(),
-                    state.t_vector(),
+                    state,
                     deg_s,
                     deg_t,
                     epsilon,
@@ -216,7 +216,9 @@ def geer_query(
 def _geer_registry_query(context, s: int, t: int, epsilon: float, **kwargs) -> EstimateResult:
     kwargs.setdefault("walk_chunk_size", context.budget.walk_chunk_size)
     kwargs.setdefault("engine", context.engine)
-    kwargs.setdefault("transition", context.transition)
+    if "transition" not in kwargs:
+        kwargs["transition"] = context.transition
+        kwargs.setdefault("arcs", context.frontier_arcs)
     return geer_query(
         context.graph,
         s,

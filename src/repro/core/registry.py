@@ -52,6 +52,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from repro.baselines.exact import ExactEffectiveResistance
     from repro.baselines.ground_truth import GroundTruthOracle
     from repro.baselines.rp import RandomProjectionSketch
+    from repro.core.smm import FrontierArcs
     from repro.graph.delta import EdgeDelta
 
 
@@ -188,6 +189,7 @@ class QueryContext:
         ArtifactSpec("spectral", "expensive", None),
         ArtifactSpec("degrees_float", "cheap", "_patch_degrees_float"),
         ArtifactSpec("transition", "cheap", "_patch_transition"),
+        ArtifactSpec("frontier_arcs", "cheap", None),
         ArtifactSpec("engine", "cheap", "_patch_engine"),
         ArtifactSpec("solver", "cheap", None),
         ArtifactSpec("ground_truth", "expensive", None),
@@ -238,7 +240,8 @@ class QueryContext:
             self._cells["transition"] = transition
         # Guards lazy artefact construction when a parallel QueryPlan fans
         # queries out over threads (each artefact is still built exactly once).
-        self._artifact_lock = threading.Lock()
+        # Re-entrant, because a cell's builder may read another cell.
+        self._artifact_lock = threading.RLock()
 
     # -- the artefact cell machinery ------------------------------------- #
     def artifact(self, name: str) -> Any:
@@ -283,6 +286,11 @@ class QueryContext:
 
     def _build_transition(self) -> sp.csr_matrix:
         return self.graph.transition_matrix()
+
+    def _build_frontier_arcs(self) -> "FrontierArcs":
+        from repro.core.smm import FrontierArcs
+
+        return FrontierArcs(self.transition)
 
     def _build_engine(self) -> RandomWalkEngine:
         return RandomWalkEngine(self.graph, rng=self.rng, obs=self.obs)
@@ -334,6 +342,12 @@ class QueryContext:
     def transition(self) -> sp.csr_matrix:
         """The CSR transition matrix ``P = D⁻¹A``, built once per context."""
         return self.artifact("transition")
+
+    @property
+    def frontier_arcs(self) -> "FrontierArcs":
+        """The transition matrix read along its CSR arcs (reverse-arc map and
+        column data), which GEER's and SMM's frontier push walk."""
+        return self.artifact("frontier_arcs")
 
     @property
     def degrees_float(self) -> np.ndarray:
@@ -638,6 +652,7 @@ class QueryContext:
         name = spec.name
         if name in ("geer", "smm", "smm-peng"):
             self.transition
+            self.frontier_arcs
             self.degrees_float
         if name == "rp":
             self.rp_sketch(epsilon)

@@ -6,11 +6,13 @@ Algorithm 2 in the paper.  Starting from the one-hot vectors ``e_s`` and
 and accumulates the ``i``-th term of the truncated effective resistance
 ``r_ℓ(s, t)`` (Eq. (4)).
 
-The implementation keeps the propagation vectors *sparse* while their support
-is small — exactly the regime in which the paper argues SMM beats random
-walks — and switches to dense storage once the frontier has saturated.  The
-number of edge traversals per iteration (the cost model of Eq. (17)) is
-recorded in :attr:`SMMState.spmv_operations`.
+Each propagation vector is a dense numpy buffer plus its support.  While the
+support is small — exactly the regime in which the paper argues SMM beats
+random walks — an iteration pushes only the support's arcs; once the frontier
+has saturated it switches to a dense SpMV.  Both produce the bits scipy's
+``P @ x`` produces (see :meth:`SMMState._push`).  The number of edge
+traversals per iteration (the cost model of Eq. (17)) is recorded in
+:attr:`SMMState.spmv_operations`.
 """
 
 from __future__ import annotations
@@ -24,8 +26,59 @@ from repro.core.registry import QueryContext, register_method
 from repro.core.result import EstimateResult
 from repro.core.walk_length import peng_walk_length
 from repro.graph.graph import Graph
+from repro.sampling.concentration import top_two_values
 from repro.utils.timing import Timer
 from repro.utils.validation import check_integer, check_node_pair
+
+
+class FrontierArcs:
+    """The transition matrix ``P`` read along its own CSR arcs, for the SMM push.
+
+    A pure function of ``P`` (hence of the graph).  For the arc ``a = (j → i)``
+    stored in row ``j``:
+
+    * ``reverse[a]`` is the row-major position of the reverse arc ``(i → j)``
+      in row ``i``;
+    * ``column_data[a] = P[i, j]``, i.e. ``P.data[reverse[a]]`` — column ``j``
+      of ``P`` laid out along row ``j``'s arcs.
+    """
+
+    __slots__ = ("indptr", "indices", "column_data", "reverse")
+
+    def __init__(self, transition: sp.csr_matrix) -> None:
+        n = transition.shape[0]
+        indptr = np.asarray(transition.indptr, dtype=np.int64)
+        indices = np.asarray(transition.indices, dtype=np.int64)
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+        # The k-th arc in (row, column) order and the k-th arc in (column, row)
+        # order are reverses of each other, because the structure is symmetric.
+        by_row = np.argsort(rows * n + indices, kind="stable")
+        by_column = np.argsort(indices * n + rows, kind="stable")
+        reverse = np.empty(len(indices), dtype=np.int64)
+        reverse[by_row] = by_column
+        self.indptr = indptr
+        self.indices = indices
+        self.reverse = reverse
+        self.column_data = np.asarray(transition.data, dtype=np.float64)[reverse]
+
+
+class _Frontier:
+    """One propagation vector: a dense buffer that is zero off ``support``."""
+
+    __slots__ = ("values", "support", "cost", "dense", "spare")
+
+    def __init__(self, num_nodes: int, node: int, degrees: np.ndarray) -> None:
+        self.values = np.zeros(num_nodes)
+        self.values[node] = 1.0
+        self.support = np.array([node], dtype=np.int64)
+        self.cost = int(degrees[node])
+        self.dense = False
+        self.spare: Optional[np.ndarray] = None
+
+    def top_two(self) -> tuple[float, float]:
+        """``(max1, max2)`` over the support; equal to the dense vector's,
+        since every entry off the support is ``+0.0`` and none is negative."""
+        return top_two_values(self.values[self.support])
 
 
 class SMMState:
@@ -40,10 +93,14 @@ class SMMState:
     transition:
         Optional pre-built transition matrix ``P = D^{-1}A`` (CSR).  Passing it
         avoids rebuilding the matrix for every query in a sweep.
+    arcs:
+        Optional :class:`FrontierArcs` of ``transition`` (the
+        ``frontier_arcs`` cell of a :class:`QueryContext`); built from
+        ``transition`` when omitted.
     dense_switch_fraction:
         Once the support of a propagation vector exceeds this fraction of the
-        nodes, the vector is stored densely (sparse bookkeeping no longer pays
-        off).
+        nodes, the vector is pushed with a dense SpMV (sparse bookkeeping no
+        longer pays off).
     """
 
     def __init__(
@@ -53,6 +110,7 @@ class SMMState:
         t: int,
         *,
         transition: Optional[sp.csr_matrix] = None,
+        arcs: Optional[FrontierArcs] = None,
         dense_switch_fraction: float = 0.25,
     ) -> None:
         s, t = check_node_pair(s, t, graph.num_nodes)
@@ -60,6 +118,7 @@ class SMMState:
         self._s = s
         self._t = t
         self._transition = transition if transition is not None else graph.transition_matrix()
+        self._arcs = arcs if arcs is not None else FrontierArcs(self._transition)
         # Structural degrees drive the Eq. (17) frontier-cost accounting
         # (edge traversals); the *weighted* degrees enter the estimate terms.
         self._degrees = graph.degrees
@@ -68,16 +127,8 @@ class SMMState:
         self._dense_switch = max(int(dense_switch_fraction * graph.num_nodes), 1)
 
         n = graph.num_nodes
-        # Column vectors stored in CSC form so that `.indices` exposes the row
-        # support directly (needed for the Eq. (17) frontier-cost accounting).
-        self._s_sparse: Optional[sp.csc_matrix] = sp.csc_matrix(
-            ([1.0], ([s], [0])), shape=(n, 1)
-        )
-        self._t_sparse: Optional[sp.csc_matrix] = sp.csc_matrix(
-            ([1.0], ([t], [0])), shape=(n, 1)
-        )
-        self._s_dense: Optional[np.ndarray] = None
-        self._t_dense: Optional[np.ndarray] = None
+        self._s_frontier = _Frontier(n, s, self._degrees)
+        self._t_frontier = _Frontier(n, t, self._degrees)
 
         self.iterations = 0
         self.spmv_operations = 0
@@ -100,79 +151,75 @@ class SMMState:
 
     def s_vector(self) -> np.ndarray:
         """Dense copy of ``s*`` (``s*(v) = p_i(v, s)`` after ``i`` iterations)."""
-        if self._s_dense is not None:
-            return self._s_dense.copy()
-        return np.asarray(self._s_sparse.todense()).reshape(-1)
+        return self._s_frontier.values.copy()
 
     def t_vector(self) -> np.ndarray:
         """Dense copy of ``t*``."""
-        if self._t_dense is not None:
-            return self._t_dense.copy()
-        return np.asarray(self._t_sparse.todense()).reshape(-1)
+        return self._t_frontier.values.copy()
 
-    def _entry(self, which: str, node: int) -> float:
-        if which == "s":
-            if self._s_dense is not None:
-                return float(self._s_dense[node])
-            return float(self._s_sparse[node, 0])
-        if self._t_dense is not None:
-            return float(self._t_dense[node])
-        return float(self._t_sparse[node, 0])
-
-    def _support_degree_sum(self, which: str) -> int:
-        if which == "s":
-            if self._s_dense is not None:
-                support = np.flatnonzero(self._s_dense)
-            else:
-                support = self._s_sparse.indices if self._s_sparse.nnz else np.array([], dtype=np.int64)
-        else:
-            if self._t_dense is not None:
-                support = np.flatnonzero(self._t_dense)
-            else:
-                support = self._t_sparse.indices if self._t_sparse.nnz else np.array([], dtype=np.int64)
-        if len(support) == 0:
-            return 0
-        return int(self._degrees[support].sum())
+    def top_two(self) -> tuple[float, float, float, float]:
+        """``(s_max1, s_max2, t_max1, t_max2)``: the two largest entries of
+        ``s*`` and of ``t*`` (``max2`` is 0 for a one-node support)."""
+        return self._s_frontier.top_two() + self._t_frontier.top_two()
 
     def next_iteration_cost(self) -> int:
         """Edge traversals the *next* SMM iteration would perform (Eq. (17) LHS)."""
-        return self._support_degree_sum("s") + self._support_degree_sum("t")
+        return self._s_frontier.cost + self._t_frontier.cost
 
     # ------------------------------------------------------------------ #
     # iteration
     # ------------------------------------------------------------------ #
     def _current_term(self) -> float:
+        s_values = self._s_frontier.values
+        t_values = self._t_frontier.values
         return (
-            self._entry("s", self._s) / self._deg_s
-            + self._entry("t", self._t) / self._deg_t
-            - self._entry("s", self._t) / self._deg_s
-            - self._entry("t", self._s) / self._deg_t
+            float(s_values[self._s]) / self._deg_s
+            + float(t_values[self._t]) / self._deg_t
+            - float(s_values[self._t]) / self._deg_s
+            - float(t_values[self._s]) / self._deg_t
         )
 
-    def _advance_vector(self, which: str) -> None:
-        if which == "s":
-            sparse, dense = self._s_sparse, self._s_dense
+    def _push(self, frontier: _Frontier) -> None:
+        """``x ← P x`` for one frontier, bit-for-bit what scipy computes.
+
+        Row ``i`` of ``P x`` is summed from 0.0 over row ``i``'s stored arcs,
+        as scipy's ``csr_matmat`` and ``csr_matvec`` do.  The sparse push
+        visits only the support's arcs and adds each term into its target row
+        in that stored order (a skipped term is an exact ``+0.0``), then drops
+        exact zeros like ``csr_matmat``.
+        """
+        if frontier.dense:
+            values = self._transition @ frontier.values
+            support = np.flatnonzero(values)
         else:
-            sparse, dense = self._t_sparse, self._t_dense
-        if dense is not None:
-            new_dense = self._transition @ dense
-            new_sparse = None
-        else:
-            new_sparse = (self._transition @ sparse).tocsc()
-            new_dense = None
-            if new_sparse.nnz >= self._dense_switch:
-                new_dense = np.asarray(new_sparse.todense()).reshape(-1)
-                new_sparse = None
-        if which == "s":
-            self._s_sparse, self._s_dense = new_sparse, new_dense
-        else:
-            self._t_sparse, self._t_dense = new_sparse, new_dense
+            arcs = self._arcs
+            old = frontier.support
+            starts = arcs.indptr[old]
+            counts = arcs.indptr[old + 1] - starts
+            ends = np.cumsum(counts)
+            positions = np.arange(int(counts.sum())) + np.repeat(starts - ends + counts, counts)
+            # Ordering the terms by the reverse arc's row-major position gives
+            # each target row its terms in stored order, whatever the layout.
+            perm = np.argsort(arcs.reverse[positions])
+            order = positions[perm]
+            targets = arcs.indices[order]
+            terms = arcs.column_data[order] * np.repeat(frontier.values[old], counts)[perm]
+            values = frontier.spare if frontier.spare is not None else np.zeros_like(frontier.values)
+            np.add.at(values, targets, terms)
+            support = np.unique(targets)
+            support = support[values[support] != 0.0]
+            frontier.values[old] = 0.0
+            frontier.spare = frontier.values
+            frontier.dense = len(support) >= self._dense_switch
+        frontier.values = values
+        frontier.support = support
+        frontier.cost = int(self._degrees[support].sum())
 
     def step(self) -> float:
         """Perform one SMM iteration (Lines 4-5 of Algorithm 2); returns the new term."""
         self.spmv_operations += self.next_iteration_cost()
-        self._advance_vector("s")
-        self._advance_vector("t")
+        self._push(self._s_frontier)
+        self._push(self._t_frontier)
         self.iterations += 1
         term = self._current_term()
         self.estimate += term
@@ -193,6 +240,7 @@ def smm_estimate(
     num_iterations: int,
     *,
     transition: Optional[sp.csr_matrix] = None,
+    arcs: Optional[FrontierArcs] = None,
 ) -> EstimateResult:
     """Run SMM (Algorithm 2) for ``num_iterations`` iterations.
 
@@ -202,7 +250,7 @@ def smm_estimate(
     check_integer(num_iterations, "num_iterations", minimum=0)
     timer = Timer()
     with timer:
-        state = SMMState(graph, s, t, transition=transition)
+        state = SMMState(graph, s, t, transition=transition, arcs=arcs)
         state.run(num_iterations)
     return EstimateResult(
         value=state.estimate,
@@ -230,7 +278,13 @@ def _smm_registry_query(
     timer = Timer()
     with timer:
         result = smm_estimate(
-            context.graph, s, t, num_iterations, transition=context.transition, **kwargs
+            context.graph,
+            s,
+            t,
+            num_iterations,
+            transition=context.transition,
+            arcs=context.frontier_arcs,
+            **kwargs,
         )
     result.epsilon = epsilon
     result.elapsed_seconds = timer.elapsed
@@ -244,7 +298,13 @@ def _smm_peng_registry_query(
     if num_iterations is None:
         num_iterations = peng_walk_length(epsilon, context.lambda_max_abs)
     result = smm_estimate(
-        context.graph, s, t, num_iterations, transition=context.transition, **kwargs
+        context.graph,
+        s,
+        t,
+        num_iterations,
+        transition=context.transition,
+        arcs=context.frontier_arcs,
+        **kwargs,
     )
     result.epsilon = epsilon
     result.method = "smm-peng"
@@ -268,4 +328,4 @@ register_method(
     func=_smm_peng_registry_query,
 )
 
-__all__ = ["SMMState", "smm_estimate"]
+__all__ = ["FrontierArcs", "SMMState", "smm_estimate"]

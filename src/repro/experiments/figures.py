@@ -18,6 +18,7 @@ import numpy as np
 from repro.core.estimator import EffectiveResistanceEstimator
 from repro.core.geer import geer_query
 from repro.core.registry import normalize_method_name, resolve_method
+from repro.core.smm import FrontierArcs
 from repro.core.walk_length import peng_walk_length, refined_walk_length
 from repro.experiments.datasets import load_dataset
 from repro.experiments.harness import (
@@ -254,6 +255,7 @@ def fig10_vary_switch_point(
     estimator = EffectiveResistanceEstimator(graph, rng=gen)
     lam = estimator.lambda_max_abs
     transition = graph.transition_matrix()
+    arcs = FrontierArcs(transition)
 
     # determine the greedy switch point per query once
     greedy_points: list[int] = []
@@ -274,6 +276,7 @@ def fig10_vary_switch_point(
                 lambda_max_abs=lam,
                 rng=gen,
                 transition=transition,
+                arcs=arcs,
                 force_smm_iterations=forced,
                 max_total_steps=max_total_steps,
             )

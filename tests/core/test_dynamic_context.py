@@ -46,6 +46,13 @@ class TestArtifactCells:
         assert status["degrees_float"] == "ready"
         assert status["spectral"] == "empty"
 
+    def test_frontier_arcs_build_their_transition(self, graph):
+        context = QueryContext(graph)
+        arcs = context.frontier_arcs  # its builder reads the transition cell
+        status = context.artifact_status()
+        assert status["frontier_arcs"] == status["transition"] == "ready"
+        assert np.array_equal(arcs.column_data, context.transition.data[arcs.reverse])
+
     def test_invalidate_drops_a_cell(self, graph):
         context = QueryContext(graph)
         context.transition
@@ -93,6 +100,23 @@ class TestApplyDelta:
         assert status["engine"] == "ready"
         assert status["spectral"] == "empty"
         assert status["solver"] == "empty"
+
+    def test_frontier_arcs_rebuild_equals_cold(self, graph, delta):
+        single_kind = [
+            EdgeDelta(inserts=delta.inserts),
+            EdgeDelta(removals=delta.removals),
+        ]
+        if graph.is_weighted:
+            single_kind.append(EdgeDelta(reweights=delta.reweights))
+        for change in single_kind + [delta]:
+            warm = QueryContext(graph)
+            warm.frontier_arcs
+            warm.apply_delta(change)
+            assert warm.artifact_status()["frontier_arcs"] == "empty"
+            cold = QueryContext(change.apply_to(graph))
+            warm_arcs, cold_arcs = warm.frontier_arcs, cold.frontier_arcs
+            for field in ("indptr", "indices", "column_data", "reverse"):
+                assert getattr(warm_arcs, field).tobytes() == getattr(cold_arcs, field).tobytes()
 
     def test_patched_artifacts_bitwise_equal_cold(self, graph, delta):
         warm = QueryContext(graph)

@@ -1,13 +1,17 @@
 """Unit tests for GEER (Algorithm 3)."""
 
+import math
+
 import numpy as np
 import pytest
 
 from repro.baselines.ground_truth import GroundTruthOracle
-from repro.core.geer import geer_query
+from repro.core.geer import _worst_case_walk_budget, geer_query
+from repro.core.smm import SMMState
 from repro.core.walk_length import refined_walk_length
 from repro.graph.generators import barabasi_albert_graph, complete_graph
 from repro.linalg.eigen import spectral_radius_second
+from repro.sampling.concentration import amc_psi, amc_sample_budget, top_two_values
 
 
 @pytest.fixture(scope="module")
@@ -118,3 +122,49 @@ class TestGEERMechanics:
         assert result.spmv_operations >= 0
         assert result.elapsed_seconds > 0
         assert result.work == result.total_steps + result.spmv_operations
+
+
+def _dense_walk_budget(tail, s_vector, t_vector, deg_s, deg_t, epsilon, delta, num_batches):
+    """The Eq. (17) budget computed from dense copies of the vectors."""
+    if tail <= 0:
+        return 0
+    psi = amc_psi(tail, deg_s, deg_t, *top_two_values(s_vector), *top_two_values(t_vector))
+    if psi == 0.0:
+        return 0
+    eta_star = amc_sample_budget(psi, epsilon, delta, num_batches)
+    return (2**num_batches - 1) * max(1, math.ceil(eta_star / 2 ** (num_batches - 1)))
+
+
+class TestGreedySwitch:
+    """The switch reads ψ's top-two values from the supports, not dense copies."""
+
+    @pytest.mark.parametrize(
+        "steps, fraction, shape",
+        [(0, 0.25, "one-node"), (1, 0.25, "partial"), (3, 0.25, "dense"), (2, 0.0, "dense")],
+    )
+    def test_support_top_two_equals_dense(self, graph, steps, fraction, shape):
+        s, t = 4, 123
+        state = SMMState(graph, s, t, dense_switch_fraction=fraction)
+        state.run(steps)
+        s_vector, t_vector = state.s_vector(), state.t_vector()
+        support = np.count_nonzero(s_vector)
+        if shape == "one-node":
+            assert support == 1
+        elif shape == "partial":
+            assert 1 < support < graph.num_nodes // 4
+        else:
+            assert support >= graph.num_nodes // 4
+        top_two = state.top_two()
+        assert top_two == top_two_values(s_vector) + top_two_values(t_vector)
+        if shape == "one-node":
+            assert top_two[1] == top_two[3] == 0.0
+        deg_s = float(graph.weighted_degrees[s])
+        deg_t = float(graph.weighted_degrees[t])
+        for tail in (0, 1, 2, 5, 40):
+            for epsilon in (0.2, 0.02):
+                expected = _dense_walk_budget(
+                    tail, s_vector, t_vector, deg_s, deg_t, epsilon, 0.01, 5
+                )
+                assert _worst_case_walk_budget(
+                    tail, state, deg_s, deg_t, epsilon, 0.01, 5
+                ) == expected
